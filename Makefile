@@ -60,10 +60,11 @@ lint-sarif: lglint
 # The packages with real concurrency: the sharded engine's barrier workers,
 # the wire-level session FSM, the monitoring pipeline, and the parallel
 # trial runner (plus the experiments that fan out on it). The dataplane
-# rides along to hold ForwardBatch to the intraPath aliasing contract
-# (cached paths are shared, read-only) under the detector.
+# and its largest caller, traffic, ride along to hold ForwardN to the
+# intraPath aliasing contract (cached paths are shared, read-only) under
+# the detector.
 race:
-	$(GO) test -race ./internal/bgp/... ./internal/monitor/... ./internal/runner/... ./internal/experiments/... ./internal/dataplane/...
+	$(GO) test -race ./internal/bgp/... ./internal/monitor/... ./internal/runner/... ./internal/experiments/... ./internal/dataplane/... ./internal/traffic/...
 
 # debug-test reruns the simulation-bearing packages with the simclockdebug
 # ownership assertion compiled in: any scheduler touched from two
@@ -194,7 +195,7 @@ bench-scale-smoke:
 	$(GO) run ./cmd/lgbench -scale-smoke
 
 # bench-traffic measures the traffic-at-scale dataplane (1M modelled flows
-# through the batched and single-packet forwarding paths, plus the
+# through the grouped and single-packet forwarding paths, plus the
 # user-seconds-lost experiment) and refreshes BENCH_pr10.json.
 bench-traffic:
 	$(GO) run ./cmd/lgbench -traffic -traffic-out BENCH_pr10.json

@@ -116,7 +116,7 @@ func main() {
 	scaleSmoke := flag.Bool("scale-smoke", false, "CI smoke: one 2k-AS case under a wall-clock budget plus a worker-count determinism diff")
 	scaleOut := flag.String("scale-out", "BENCH_pr7.json", "output file for -scale")
 	scaleCase := flag.String("scale-case", "", "internal: run one scale case from a JSON config and print the result (self-exec)")
-	trafficFlag := flag.Bool("traffic", false, "run the traffic-at-scale bench family (batched vs single-packet throughput + user-seconds-lost experiment)")
+	trafficFlag := flag.Bool("traffic", false, "run the traffic-at-scale bench family (grouped vs single-packet throughput + user-seconds-lost experiment)")
 	trafficFlows := flag.Int("traffic-flows", 1_000_000, "modelled flow population for -traffic")
 	trafficEpochs := flag.Int("traffic-epochs", 3, "epochs per forwarding mode for -traffic")
 	trafficSeed := flag.Int64("traffic-seed", 1, "experiment seed for -traffic")

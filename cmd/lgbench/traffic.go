@@ -18,11 +18,11 @@ import (
 
 // The -traffic family measures the traffic-at-scale dataplane two ways:
 // modelled-flow throughput (the same million-flow population pushed through
-// the batched and the single-packet forwarding paths, packets/sec each),
+// the grouped and the single-packet forwarding paths, packets/sec each),
 // and the user-seconds-lost experiment's headline numbers (the same
 // outage timeline scored with the repair loop armed and disarmed). The
-// batched/single ratio is the PR's amortization claim; the experiment
-// numbers are its fidelity claim.
+// grouped/single ratio is the amortization claim; the experiment numbers
+// are the fidelity claim.
 
 // TrafficThroughput is one forwarding mode's measurement.
 type TrafficThroughput struct {
@@ -54,8 +54,9 @@ type TrafficReport struct {
 	Dests     int               `json:"dests"`
 	Batched   TrafficThroughput `json:"batched"`
 	Single    TrafficThroughput `json:"single"`
-	// Speedup is batched packets/sec over single packets/sec — the
-	// amortization win of ForwardBatch (target >= 3x).
+	// Speedup is grouped vs single: packets/sec with one Plane.ForwardN
+	// per flow group (the Batched field) over packets/sec with one
+	// Plane.Forward per packet (target >= 3x).
 	Speedup    float64           `json:"speedup"`
 	Experiment TrafficExperiment `json:"experiment"`
 }
@@ -140,7 +141,7 @@ func runTrafficFamily(flows, epochs int, seed int64, out string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("lgbench: traffic batched: %d flows, %d epochs, %.0f packets/sec\n",
+	fmt.Printf("lgbench: traffic grouped: %d flows, %d epochs, %.0f packets/sec\n",
 		flows, epochs, rep.Batched.PacketsPerSec)
 	rep.Single, _, _, err = measureTrafficMode(flows, epochs, true)
 	if err != nil {
@@ -151,7 +152,7 @@ func runTrafficFamily(flows, epochs int, seed int64, out string) error {
 	if rep.Single.PacketsPerSec > 0 {
 		rep.Speedup = rep.Batched.PacketsPerSec / rep.Single.PacketsPerSec
 	}
-	fmt.Printf("lgbench: traffic batching speedup %.1fx\n", rep.Speedup)
+	fmt.Printf("lgbench: traffic grouping speedup %.1fx\n", rep.Speedup)
 
 	r := experiments.Traffic(seed)
 	rep.Experiment = TrafficExperiment{

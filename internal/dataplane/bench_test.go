@@ -66,12 +66,12 @@ func BenchmarkDataplaneForwardWithFailures(b *testing.B) {
 	}
 }
 
-// BenchmarkDataplaneForwardBatch measures the amortized per-packet cost of
-// ForwardBatch on flow-group shaped traffic: batches of 1024 packets spread
-// over 16 destinations (64 packets per flow group, the duplication the
-// traffic engine produces every epoch). Reported ns/op is per packet, so
-// the ratio to BenchmarkDataplaneForward is the batching win.
-func BenchmarkDataplaneForwardBatch(b *testing.B) {
+// BenchmarkDataplaneForwardN measures the amortized per-packet cost of
+// ForwardN on flow-group shaped traffic: 16 destinations with 64 packets
+// each per round (1024 packets, the grouping the traffic engine produces
+// every epoch). Reported ns/op is per packet, so the ratio to
+// BenchmarkDataplaneForward is the grouping win.
+func BenchmarkDataplaneForwardN(b *testing.B) {
 	res, err := topogen.Generate(topogen.Config{Seed: 1, NumTransit: 25, NumStub: 80})
 	if err != nil {
 		b.Fatal(err)
@@ -86,21 +86,19 @@ func BenchmarkDataplaneForwardBatch(b *testing.B) {
 	}
 	pl := New(res.Top, eng)
 	src := res.Top.AS(res.Stubs[0]).Routers[0]
-	const batch = 1024
-	pkts := make([]Packet, 0, batch)
-	for i := 0; len(pkts) < batch; i++ {
-		s := res.Stubs[1+(i%16)*4]
+	const groups, perGroup = 16, 64
+	pkts := make([]Packet, 0, groups)
+	for i := 0; i < groups; i++ {
+		s := res.Stubs[1+i*4]
 		dst := res.Top.Router(res.Top.AS(s).Routers[0]).Addr
-		for c := 0; c < batch/16 && len(pkts) < batch; c++ {
-			pkts = append(pkts, Packet{Src: topo.ProductionAddr(res.Stubs[0]), Dst: dst})
-		}
+		pkts = append(pkts, Packet{Src: topo.ProductionAddr(res.Stubs[0]), Dst: dst})
 	}
-	buf := make([]Result, 0, batch)
 	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		buf = pl.ForwardBatch(src, pkts, buf[:0])
-		if !buf[0].Delivered() {
-			b.Fatalf("not delivered: %v", buf[0].Reason)
+	for i := 0; i < b.N; i += groups * perGroup {
+		for _, pkt := range pkts {
+			if t := pl.ForwardN(src, pkt, perGroup); t[Delivered] != perGroup {
+				b.Fatalf("not delivered: %v", t)
+			}
 		}
 	}
 }

@@ -201,8 +201,9 @@ type Plane struct {
 	// runs once per pair for the lifetime of the plane. The simulation
 	// core is single-goroutine, like the engine it consults.
 	pathCache map[[2]topo.RouterID][]topo.RouterID
-	// batch is ForwardBatch's per-call scratch (see batch.go).
-	batch batchState
+	// hops is the walks' hop-record scratch, reused across calls: ForwardN
+	// reports only fates, and Forward hands out an exactly-sized copy.
+	hops []Hop
 
 	obs planeObs
 }
@@ -363,15 +364,81 @@ func splitmix64(x uint64) uint64 {
 // Forward injects pkt at router "from" (the sender's gateway) and walks it
 // to its fate. The sender's own router does not consume TTL.
 func (pl *Plane) Forward(from topo.RouterID, pkt Packet) Result {
-	res := pl.forward(from, pkt)
-	pl.obs.forwarded.Inc()
-	if res.Reason != Delivered {
-		pl.obs.drops[res.Reason].Inc()
-	}
+	// The walk records into the plane's scratch and the caller gets one
+	// exactly-sized copy: probes forward constantly during repair, so
+	// their hop garbage counts toward a long run's peak RSS.
+	res := pl.walk(from, pkt)
+	res.Hops = append([]Hop(nil), res.Hops...)
+	pl.count(res.Reason, 1)
 	return res
 }
 
-func (pl *Plane) forward(from topo.RouterID, pkt Packet) Result {
+// Tally counts packets by fate, indexed by DropReason.
+type Tally [ForwardLoop + 1]int64
+
+// ForwardN injects n identical packets at router "from" and returns how
+// many met each fate. It is exactly n Forward calls with the Results
+// folded into a Tally: the same fates, the same obs counters, and the same
+// per-packet sequence numbering, so a probabilistic rule installed later
+// sees the same coin flips.
+//
+// The amortization: within one call the RIB and the failure table cannot
+// change (the simulation core is single-goroutine), so when no
+// fractional-DropProb rule is installed a walk is a pure function of the
+// packet header and the n packets share one walk's fate. With such a rule
+// installed every packet walks on its own sequence number, preserving
+// per-packet loss. Either way the walks record hops into plane-owned
+// scratch, so a warm call allocates nothing.
+func (pl *Plane) ForwardN(from topo.RouterID, pkt Packet, n int64) Tally {
+	var t Tally
+	if n <= 0 {
+		return t
+	}
+	if pl.hasProbRules() {
+		for i := int64(0); i < n; i++ {
+			t[pl.walk(from, pkt).Reason]++
+		}
+	} else {
+		t[pl.walk(from, pkt).Reason] = n
+		// The packets that shared the walk consume their sequence numbers.
+		pl.seq += uint64(n - 1)
+	}
+	for r, c := range t {
+		pl.count(DropReason(r), c)
+	}
+	return t
+}
+
+// walk forwards pkt with its hops recorded into the plane's scratch; the
+// Result's Hops alias that scratch until the next walk.
+func (pl *Plane) walk(from topo.RouterID, pkt Packet) Result {
+	res := pl.forward(from, pkt, pl.hops[:0])
+	pl.hops = res.Hops
+	return res
+}
+
+// hasProbRules reports whether any installed rule carries a fractional
+// DropProb, whose verdicts differ per packet.
+func (pl *Plane) hasProbRules() bool {
+	for _, r := range pl.failures {
+		if r.DropProb > 0 && r.DropProb < 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// count adds n packets that met fate r to the plane's metric handles.
+func (pl *Plane) count(r DropReason, n int64) {
+	pl.obs.forwarded.Add(n)
+	if r != Delivered {
+		pl.obs.drops[r].Add(n)
+	}
+}
+
+// forward walks pkt from "from", recording hops into the hops buffer
+// (appended from its start; the Result's Hops is the grown buffer).
+func (pl *Plane) forward(from topo.RouterID, pkt Packet, hops []Hop) Result {
 	ttl := pkt.TTL
 	if ttl <= 0 {
 		ttl = DefaultTTL
@@ -382,9 +449,7 @@ func (pl *Plane) forward(from topo.RouterID, pkt Packet) Result {
 		c.dstAS = owner
 	}
 
-	// One up-front block sized for typical inter-domain walks keeps hop
-	// recording to a single allocation for almost every packet.
-	res := Result{Hops: make([]Hop, 0, 16)}
+	res := Result{Hops: hops}
 	cur := from
 	first := true
 	step := func(r topo.RouterID) Reason {
@@ -435,11 +500,14 @@ func (pl *Plane) forward(from topo.RouterID, pkt Packet) Result {
 			return res
 		}
 		nextAS, _ := route.NextHop()
-		borders := pl.top.BorderRouters(curAS, nextAS)
-		if len(borders) == 0 {
+		links := pl.top.BorderLinks(curAS, nextAS)
+		if len(links) == 0 {
 			panic(fmt.Sprintf("dataplane: AS %d routes to non-adjacent AS %d", curAS, nextAS))
 		}
-		egress, ingress := borders[0][0], borders[0][1]
+		egress, ingress := links[0].A, links[0].B
+		if pl.top.Router(egress).AS != curAS {
+			egress, ingress = ingress, egress
+		}
 		for _, r := range pl.intraPath(cur, egress) {
 			if rsn := step(r); rsn != Delivered {
 				res.Reason = rsn

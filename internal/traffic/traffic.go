@@ -25,9 +25,10 @@
 // parallelism.
 //
 // Allocation discipline. Flow state is a dense array of vantage indices
-// (two bytes per flow), and the packet/result buffers for batched
-// forwarding are reused across epochs, so steady-state epochs allocate
-// nothing per flow.
+// (two bytes per flow) plus a per-vantage flow count per destination, kept
+// current through churn. Every (vantage, destination) group forwards as
+// one Plane.ForwardN call per leg, so steady-state epochs allocate
+// nothing.
 package traffic
 
 import (
@@ -76,9 +77,10 @@ type Config struct {
 	// ShardCount). Zero ShardCount means the whole population.
 	ShardIndex, ShardCount int
 	// SinglePacket forwards every packet through Plane.Forward instead of
-	// ForwardBatch. The reports are identical either way (that is
-	// ForwardBatch's contract); this is the baseline mode lgbench uses to
-	// measure the batching win.
+	// one Plane.ForwardN call per flow group. The reports are identical
+	// either way (that is ForwardN's contract); this is the reference path
+	// tests compare against and the baseline lgbench measures the grouping
+	// win over.
 	SinglePacket bool
 }
 
@@ -120,6 +122,7 @@ type destState struct {
 	hub    topo.RouterID
 	rng    stream
 	flows  []uint16 // vantage index per flow; the whole per-flow state
+	counts []int64  // flows per vantage, kept current through churn
 }
 
 // Generator owns one shard of the flow population.
@@ -134,10 +137,7 @@ type Generator struct {
 	dests []destState     // this shard's destinations
 	flows int             // flows in this shard
 
-	epoch  int
-	pkts   []dataplane.Packet
-	res    []dataplane.Result
-	counts []int64 // per-vantage scratch, reused per destination
+	epoch int
 
 	obs     generatorObs
 	journal *obs.Journal
@@ -190,7 +190,6 @@ func New(d Deps, cfg Config) (*Generator, error) {
 		top:     d.Top,
 		clk:     d.Clk,
 		plane:   d.Plane,
-		counts:  make([]int64, len(cfg.Vantages)),
 		journal: d.Journal,
 	}
 	for _, v := range cfg.Vantages {
@@ -224,9 +223,12 @@ func New(d Deps, cfg Config) (*Generator, error) {
 			hub:    as.Routers[0],
 			rng:    stream{state: cfg.Seed + uint64(i)*0x9E3779B9},
 			flows:  make([]uint16, counts[i]),
+			counts: make([]int64, len(cfg.Vantages)),
 		}
 		for f := range ds.flows {
-			ds.flows[f] = uint16(ds.rng.next() % uint64(len(cfg.Vantages)))
+			v := uint16(ds.rng.next() % uint64(len(cfg.Vantages)))
+			ds.flows[f] = v
+			ds.counts[v]++
 		}
 		g.flows += len(ds.flows)
 		g.dests = append(g.dests, ds)
@@ -316,45 +318,33 @@ func (g *Generator) RunEpoch() EpochReport {
 		if g.cfg.Churn > 0 {
 			for i := range d.flows {
 				if d.rng.float() < g.cfg.Churn {
-					d.flows[i] = uint16(d.rng.next() % uint64(nvan))
+					v := uint16(d.rng.next() % uint64(nvan))
+					d.counts[d.flows[i]]--
+					d.counts[v]++
+					d.flows[i] = v
 				}
 			}
 		}
-		clear(g.counts)
-		for _, v := range d.flows {
-			g.counts[v]++
-		}
-		for vi := 0; vi < nvan; vi++ {
-			n := g.counts[vi]
+		for vi, n := range d.counts {
 			if n == 0 {
 				continue
 			}
 			// Forward leg: n user packets from the vantage toward the
 			// destination.
-			fwdDelivered := int64(0)
-			for _, r := range g.forwardN(g.hubs[vi], dataplane.Packet{Src: g.srcs[vi], Dst: d.addr}, n) {
-				if r.Delivered() {
-					fwdDelivered++
-				} else {
-					rep.LostByReason[r.Reason]++
-				}
-			}
+			fwd := g.forward(g.hubs[vi], dataplane.Packet{Src: g.srcs[vi], Dst: d.addr}, n)
 			rep.Packets += n
 			// Reply leg, only for flows whose forward packet arrived.
 			// This is where reverse-path failures show up.
-			served := int64(0)
-			if fwdDelivered > 0 {
-				for _, r := range g.forwardN(d.hub, dataplane.Packet{Src: d.addr, Dst: g.srcs[vi]}, fwdDelivered) {
-					if r.Delivered() {
-						served++
-					} else {
-						rep.LostByReason[r.Reason]++
-					}
-				}
+			var reply dataplane.Tally
+			if fwdDelivered := fwd[dataplane.Delivered]; fwdDelivered > 0 {
+				reply = g.forward(d.hub, dataplane.Packet{Src: d.addr, Dst: g.srcs[vi]}, fwdDelivered)
 				rep.Packets += fwdDelivered
 			}
+			for r := dataplane.NoRoute; r <= dataplane.ForwardLoop; r++ {
+				rep.LostByReason[r] += fwd[r] + reply[r]
+			}
 			rep.Flows += n
-			rep.Served += served
+			rep.Served += reply[dataplane.Delivered]
 		}
 	}
 	rep.Lost = rep.Flows - rep.Served
@@ -379,22 +369,16 @@ func (g *Generator) RunEpoch() EpochReport {
 	return rep
 }
 
-// forwardN pushes n copies of pkt into the plane at from and returns the
-// results, in a buffer reused across calls. In batched mode all n packets
-// go through one ForwardBatch call, which collapses them to a single walk;
-// SinglePacket mode pays the full walk per packet.
-func (g *Generator) forwardN(from topo.RouterID, pkt dataplane.Packet, n int64) []dataplane.Result {
-	g.pkts = g.pkts[:0]
+// forward pushes n copies of pkt into the plane at from and tallies their
+// fates: one ForwardN call, or in SinglePacket mode one full Forward walk
+// per packet.
+func (g *Generator) forward(from topo.RouterID, pkt dataplane.Packet, n int64) dataplane.Tally {
+	if !g.cfg.SinglePacket {
+		return g.plane.ForwardN(from, pkt, n)
+	}
+	var t dataplane.Tally
 	for i := int64(0); i < n; i++ {
-		g.pkts = append(g.pkts, pkt)
+		t[g.plane.Forward(from, pkt).Reason]++
 	}
-	if g.cfg.SinglePacket {
-		g.res = g.res[:0]
-		for _, p := range g.pkts {
-			g.res = append(g.res, g.plane.Forward(from, p))
-		}
-		return g.res
-	}
-	g.res = g.plane.ForwardBatch(from, g.pkts, g.res[:0])
-	return g.res
+	return t
 }

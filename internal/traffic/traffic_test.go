@@ -146,8 +146,9 @@ func TestShardMergeIdentity(t *testing.T) {
 	}
 }
 
-// TestBatchedMatchesSinglePacket pins that the batched fast path and the
-// one-Forward-per-packet baseline produce identical accounting.
+// TestBatchedMatchesSinglePacket pins that the grouped fast path (one
+// ForwardN per flow group and leg) and the one-Forward-per-packet baseline
+// produce identical accounting.
 func TestBatchedMatchesSinglePacket(t *testing.T) {
 	var runs [2][]EpochReport
 	for i, single := range []bool{false, true} {
@@ -161,7 +162,51 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 		runs[i] = runEpochs(t, r, g)
 	}
 	if !reflect.DeepEqual(runs[0], runs[1]) {
-		t.Fatalf("batched and single-packet accounting diverged:\n%+v\n%+v", runs[0], runs[1])
+		t.Fatalf("grouped and single-packet accounting diverged:\n%+v\n%+v", runs[0], runs[1])
+	}
+}
+
+// TestCountsTrackChurn pins the incremental per-vantage flow counts
+// RunEpoch forwards by: after heavy churn they still equal a full recount
+// of every destination's flows.
+func TestCountsTrackChurn(t *testing.T) {
+	r := newRig(t)
+	cfg := popConfig(r)
+	cfg.Churn = 0.5
+	g, err := New(Deps{Top: r.res.Top, Clk: r.clk, Plane: r.plane}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		r.clk.RunFor(g.Epoch())
+		g.RunEpoch()
+	}
+	for _, d := range g.dests {
+		want := make([]int64, len(cfg.Vantages))
+		for _, v := range d.flows {
+			want[v]++
+		}
+		if !reflect.DeepEqual(d.counts, want) {
+			t.Fatalf("destination %d: tracked counts %v, recount %v", d.global, d.counts, want)
+		}
+	}
+}
+
+// TestRunEpochAllocFree pins the steady-state allocation discipline: with
+// churn, a live blackhole and metrics wired, an epoch over the whole
+// population allocates nothing once the plane's caches are warm.
+func TestRunEpochAllocFree(t *testing.T) {
+	r := newRig(t)
+	g, err := New(Deps{Top: r.res.Top, Clk: r.clk, Plane: r.plane, Obs: obs.New()}, popConfig(r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := topo.ProductionAddr(r.res.Stubs[8])
+	r.plane.AddFailure(dataplane.BlackholeASTowards(
+		providerOf(t, r, r.res.Stubs[0], dst), topo.ProductionPrefix(r.res.Stubs[8])))
+	g.RunEpoch()
+	if allocs := testing.AllocsPerRun(10, func() { g.RunEpoch() }); allocs != 0 {
+		t.Fatalf("steady-state RunEpoch allocates %.1f times, want 0", allocs)
 	}
 }
 
